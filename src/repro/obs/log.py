@@ -14,10 +14,11 @@ Two additions over the PR 9 sink:
   ``health`` protocol verb and ``red-qaoa top`` can show what just
   happened even on a quietly-configured daemon (:meth:`EventLog.recent`);
 - an optional **file sink with rotation** (``path`` / ``max_bytes`` /
-  ``backups``): lines go to a file instead of a stream, and when the
-  live file would exceed ``max_bytes`` it rotates to ``path.1`` (older
-  files shift up, the oldest past ``backups`` is dropped) -- a
-  long-running daemon's log is disk-bounded like its flight recorder.
+  ``backups``): lines go to a file instead of a stream through
+  :func:`repro.jsonl.append`, and when the live file would exceed
+  ``max_bytes`` it rotates to ``path.1`` (older files shift up, the
+  oldest past ``backups`` is dropped) -- a long-running daemon's log is
+  disk-bounded like its flight recorder.
 
 This is deliberately not the stdlib ``logging`` module: the daemon needs
 exactly one sink, one format, and zero global configuration leakage into
@@ -26,12 +27,13 @@ library users' own logging setups.
 
 from __future__ import annotations
 
-import json
 import sys
 import threading
 import time
 from collections import deque
 from pathlib import Path
+
+from repro import jsonl
 
 __all__ = ["LEVELS", "EventLog", "NullLog"]
 
@@ -67,8 +69,6 @@ class EventLog:
         self._lock = threading.Lock()
         self._t0 = time.monotonic()
         self._ring: deque = deque(maxlen=max(1, int(ring)))
-        if self.path is not None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
 
     def enabled(self, level: str) -> bool:
         return _RANK[level] >= _RANK[self.level]
@@ -81,23 +81,22 @@ class EventLog:
         configuration.
         """
         uptime = round(time.monotonic() - self._t0, 3)
+        record = {"level": level, "event": event, "uptime": uptime, **fields}
         if _RANK[level] >= _RANK["info"]:
             with self._lock:
-                self._ring.append(
-                    {"level": level, "event": event, "uptime": uptime, **fields}
-                )
+                self._ring.append(record)
         if not self.enabled(level):
             return
-        if self.json_mode or self.path is not None:
-            record = {"level": level, "event": event, "uptime": uptime, **fields}
-            line = json.dumps(record, sort_keys=True, separators=(",", ":"))
-        else:
-            detail = " ".join(f"{key}={value}" for key, value in sorted(fields.items()))
-            line = f"[{uptime:9.3f}] {level:<7} {event}" + (f" {detail}" if detail else "")
         with self._lock:
             if self.path is not None:
-                self._write_file(line)
+                jsonl.append(
+                    self.path, record, max_bytes=self.max_bytes, keep=self.backups
+                )
+            elif self.json_mode:
+                print(jsonl.encode(record), file=self.stream, flush=True)
             else:
+                detail = " ".join(f"{key}={value}" for key, value in sorted(fields.items()))
+                line = f"[{uptime:9.3f}] {level:<7} {event}" + (f" {detail}" if detail else "")
                 print(line, file=self.stream, flush=True)
 
     def recent(self, count: int = 20) -> list[dict]:
@@ -105,34 +104,6 @@ class EventLog:
         with self._lock:
             events = list(self._ring)
         return events[-count:] if count >= 0 else events
-
-    # -- file sink (lock held) -----------------------------------------------
-
-    def _write_file(self, line: str) -> None:
-        encoded = line + "\n"
-        try:
-            size = self.path.stat().st_size
-        except OSError:
-            size = 0
-        if size and size + len(encoded) > self.max_bytes:
-            self._rotate()
-        with self.path.open("a", encoding="utf-8") as handle:
-            handle.write(encoded)
-
-    def _rotate(self) -> None:
-        if self.backups == 0:
-            self.path.unlink(missing_ok=True)
-            return
-        oldest = self._backup(self.backups)
-        oldest.unlink(missing_ok=True)
-        for index in range(self.backups - 1, 0, -1):
-            source = self._backup(index)
-            if source.exists():
-                source.replace(self._backup(index + 1))
-        self.path.replace(self._backup(1))
-
-    def _backup(self, index: int) -> Path:
-        return self.path.with_name(f"{self.path.name}.{index}")
 
     def debug(self, event: str, **fields) -> None:
         self.event("debug", event, **fields)

@@ -41,6 +41,8 @@ import math
 import os
 from pathlib import Path
 
+from repro import jsonl
+
 __all__ = [
     "DEFAULT_FLOORS",
     "REGRESS_SCHEMA",
@@ -159,10 +161,7 @@ def make_record(label: str, paths, unix: float | None = None) -> dict:
 
 
 def append_record(path: str | os.PathLike, record: dict) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("a", encoding="utf-8") as handle:
-        handle.write(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
+    jsonl.append(path, record)
 
 
 def load_records(paths) -> list[dict]:
@@ -179,16 +178,7 @@ def load_records(paths) -> list[dict]:
         path = Path(path)
         if path.suffix == ".jsonl":
             snapshots: list[dict] = []
-            for line in path.read_text(encoding="utf-8").splitlines():
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    payload = json.loads(line)
-                except json.JSONDecodeError:
-                    continue  # tolerate a truncated tail, like every reader here
-                if not isinstance(payload, dict):
-                    continue
+            for payload in jsonl.read(path)[0]:
                 if payload.get("kind") == "bench":
                     records.append(
                         {

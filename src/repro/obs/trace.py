@@ -21,7 +21,8 @@ pipeline actually went through::
 Two tracer modes cover the process topology of the serve stack:
 
 - **file mode** (``Tracer(path)``): each closed span is appended to a
-  JSONL trace file immediately -- the daemon/batch process writes this;
+  JSONL trace file immediately (:func:`repro.jsonl.append`) -- the
+  daemon/batch process writes this;
 - **collector mode** (``Tracer(None)``): closed spans buffer in memory
   and are handed over via :meth:`Tracer.drain` -- worker processes run
   this and ship their spans back over the existing result pipes, where
@@ -43,12 +44,13 @@ runs are bit-identical to untraced ones.
 from __future__ import annotations
 
 import itertools
-import json
 import os
 import threading
 import time
 from contextlib import contextmanager
 from pathlib import Path
+
+from repro import jsonl
 
 __all__ = [
     "TRACE_SCHEMA",
@@ -124,10 +126,7 @@ class Tracer:
     def emit(self, record: dict) -> None:
         """Append one finished record to the sink (file or buffer)."""
         if self.path is not None:
-            line = json.dumps(record, sort_keys=True, separators=(",", ":"))
-            with self._lock:
-                with self.path.open("a", encoding="utf-8") as handle:
-                    handle.write(line + "\n")
+            jsonl.append(self.path, record)
         else:
             with self._lock:
                 self._buffer.append(record)
@@ -368,19 +367,11 @@ def load_trace(path: str | os.PathLike) -> tuple[list[dict], list[dict]]:
     """All span records and all metrics records from a trace file."""
     spans: list[dict] = []
     metrics: list[dict] = []
-    with Path(path).open("r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                continue  # truncated tail of a killed process
-            if record.get("kind") == "span":
-                spans.append(record)
-            elif record.get("kind") == "metrics":
-                metrics.append(record)
+    for record in jsonl.read(path)[0]:
+        if record.get("kind") == "span":
+            spans.append(record)
+        elif record.get("kind") == "metrics":
+            metrics.append(record)
     return spans, metrics
 
 

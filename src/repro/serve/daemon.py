@@ -47,6 +47,7 @@ from repro.obs.log import NullLog
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import Tracer
 from repro.serve.protocol import (
+    MAX_REQUEST_BYTES,
     PROTOCOL_VERSION,
     ProtocolError,
     decode_line,
@@ -179,7 +180,7 @@ class ServeDaemon:
             requeue_stuck=stuck_requeue,
             log=self.log,
         )
-        self._last_health_check = 0.0
+        self._last_health_check: float | None = None
 
     # -- operations (connection threads call these under no lock) ------------
 
@@ -351,7 +352,7 @@ class ServeDaemon:
     def _tick(self) -> None:
         """Periodic side-channel work riding the pump: snapshots + health."""
         now = time.monotonic()
-        if now - self._last_health_check >= 1.0:
+        if self._last_health_check is None or now - self._last_health_check >= 1.0:
             self._last_health_check = now
             with self._lock:
                 self.monitor.check()
@@ -426,7 +427,12 @@ class ServeDaemon:
     def _serve_connection(self, conn: socket.socket) -> None:
         stream = conn.makefile("rwb")
         try:
-            for raw in stream:
+            while raw := stream.readline(MAX_REQUEST_BYTES + 1):
+                if len(raw) > MAX_REQUEST_BYTES and not raw.endswith(b"\n"):
+                    # No framing left to resynchronise on: answer once, hang up.
+                    error = f"request line exceeds {MAX_REQUEST_BYTES} bytes"
+                    self._write(stream, error_reply(error))
+                    return
                 if not raw.strip():
                     continue
                 try:

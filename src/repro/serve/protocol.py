@@ -39,7 +39,9 @@ Requests (``{"op": ..., ...}``):
 Responses carry ``"ok": true`` or ``"ok": false`` with ``"error"``.  The
 protocol is versioned (``PROTOCOL_VERSION``; echoed by ``status``) and
 intolerant of malformed input on purpose: a bad line gets an error reply,
-never a partial effect.
+never a partial effect.  A request line longer than ``MAX_REQUEST_BYTES``
+gets one error reply and the connection is closed, so a peer that never
+sends a newline cannot grow the daemon's read buffer without bound.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ from __future__ import annotations
 import json
 
 __all__ = [
+    "MAX_REQUEST_BYTES",
     "OPS",
     "PROTOCOL_VERSION",
     "ProtocolError",
@@ -57,6 +60,10 @@ __all__ = [
 ]
 
 PROTOCOL_VERSION = 2  # v2: +health op, daemon identity in status
+
+#: Longest accepted request line, newline excluded: at under 100 bytes
+#: per generated manifest job, room for any realistic campaign.
+MAX_REQUEST_BYTES = 1 << 22
 
 OPS = (
     "submit",

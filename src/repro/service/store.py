@@ -3,17 +3,10 @@
 :class:`ResultStore` makes repeated jobs free across process restarts: one
 JSONL file, one record per completed job, appended with an ``fsync`` so a
 finished job survives a crash the moment :meth:`ResultStore.put` returns.
-Records are schema-versioned; on load, records with an unknown schema are
-skipped (counted, never fatal) and a truncated final line -- the footprint
-of a process killed mid-append -- is tolerated, so a store written by a
-killed campaign always resumes cleanly with every fully written result
-intact.
-
-Appends take an advisory ``flock`` on the store file (where the platform
-provides one), so two processes sharing one store file -- a daemon and a
-batch run, or two daemons -- serialize their appends instead of
-interleaving partial JSONL lines.  The lock covers exactly one
-write+fsync; readers never block.
+Under :mod:`repro.jsonl`'s durability contract a store written by a killed
+campaign resumes with every fully written result intact, and a daemon and
+a batch run can share one store file.  Records are schema-versioned; on
+load, records with an unknown schema are skipped (counted, never fatal).
 
 Later records win on duplicate fingerprints (the file is append-only, so
 "latest" is simply the last line), and all floats round-trip exactly
@@ -31,15 +24,10 @@ forever.
 
 from __future__ import annotations
 
-import json
 import os
 from pathlib import Path
 
-try:  # advisory locking is POSIX-only; the store degrades gracefully
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX platforms
-    fcntl = None
-
+from repro import jsonl
 from repro.obs.metrics import REGISTRY
 from repro.service.jobs import JobResult
 
@@ -93,20 +81,9 @@ class ResultStore:
     def _load(self) -> None:
         if not self.path.exists():
             return
-        with self.path.open("r", encoding="utf-8") as handle:
-            lines = handle.read().split("\n")
-        for position, line in enumerate(lines):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                # A truncated final line is the normal crash footprint;
-                # anything else undecodable is counted and skipped too --
-                # the store must always come up.
-                self.corrupt_lines += 1
-                continue
-            if not isinstance(record, dict) or record.get("schema") != STORE_SCHEMA:
+        records, self.corrupt_lines = jsonl.read(self.path)
+        for record in records:
+            if record.get("schema") != STORE_SCHEMA:
                 self.skipped_schema += 1
                 continue
             fingerprint = record.get("fingerprint")
@@ -191,19 +168,4 @@ class ResultStore:
 
     def _append(self, record: dict) -> None:
         _STORE_APPENDS.inc()
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        line = json.dumps(record, sort_keys=True, separators=(",", ":"))
-        with self.path.open("a", encoding="utf-8") as handle:
-            if fcntl is not None:
-                # Advisory exclusive lock for the single write+fsync below:
-                # concurrent writers sharing this file queue up instead of
-                # interleaving partial lines.  Released with the handle.
-                fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
-            try:
-                handle.write(line + "\n")
-                handle.flush()
-                if self.fsync:
-                    os.fsync(handle.fileno())
-            finally:
-                if fcntl is not None:
-                    fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
+        jsonl.append(self.path, record, fsync=self.fsync)

@@ -1,6 +1,7 @@
 """Tests for the flight recorder and its history reader (repro.obs.history)."""
 
 import json
+import time
 
 import pytest
 
@@ -47,6 +48,14 @@ class TestFlightRecorder:
         assert rec.maybe_record() is True  # first append is always due
         assert rec.maybe_record() is False
         assert len(load_history(rec.path)) == 1
+
+    def test_first_record_is_due_on_a_freshly_booted_host(self, tmp_path, monkeypatch):
+        # monotonic() counts from boot: under a minute of uptime must not
+        # read as "the last snapshot was taken a moment ago".
+        monkeypatch.setattr(time, "monotonic", lambda: 0.5)
+        rec = _recorder(tmp_path, interval=5.0)
+        assert rec.maybe_record() is True
+        assert rec.maybe_record() is False
 
     def test_ring_rotates_and_bounds_total_size(self, tmp_path):
         registry = _registry()

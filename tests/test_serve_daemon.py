@@ -1,13 +1,16 @@
 """Tests for repro.serve daemon + protocol + client over a real unix socket."""
 
 import contextlib
+import json
+import socket
 import threading
+import time
 
 import pytest
 
 from repro.serve.client import Backpressure, ServeClient, ServeError, wait_for_socket
 from repro.serve.daemon import ServeDaemon
-from repro.serve.protocol import ProtocolError, decode_line, encode
+from repro.serve.protocol import MAX_REQUEST_BYTES, ProtocolError, decode_line, encode
 from repro.service.campaign import manifest_specs
 from repro.service.jobs import run_job
 from repro.service.store import ResultStore
@@ -173,6 +176,22 @@ class TestRefusals:
             final = client.wait(ticket, timeout=120)
             assert final["counts"] == {"done": 2}
 
+    def test_overlong_request_line_gets_one_error_then_close(self, tmp_path):
+        with _daemon(tmp_path) as (daemon, client):
+            with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as conn:
+                conn.settimeout(60)
+                conn.connect(str(daemon.socket_path))
+                conn.sendall(b"x" * (MAX_REQUEST_BYTES + 1))  # no newline
+                replies = conn.makefile("rb")
+                reply = json.loads(replies.readline())
+                assert reply["ok"] is False
+                assert "exceeds" in reply["error"]
+                assert replies.read() == b""  # the daemon hung up
+            # the daemon is unharmed: a fresh connection submits and streams
+            ticket = client.submit(_manifest(count=1))["ticket"]
+            events = list(client.stream(ticket))
+            assert [event["event"] for event in events] == ["result", "done"]
+
     def test_poison_job_reports_dead_with_error(self, tmp_path):
         with _daemon(tmp_path, max_attempts=2) as (daemon, client):
             ticket = client.submit(_POISON_MANIFEST)["ticket"]
@@ -185,6 +204,23 @@ class TestRefusals:
         # parked durably: a fresh store shows the dead letter
         survivor = ResultStore(tmp_path / "store.jsonl")
         assert len(survivor.dead_letters()) == 1
+
+
+class TestFreshHost:
+    def test_first_tick_runs_health_check_with_small_monotonic_clock(
+        self, tmp_path, monkeypatch
+    ):
+        # A host that booted under a second ago: the first check must not
+        # wait for the clock to pass an arbitrary zero sentinel.
+        daemon = ServeDaemon(socket_path=tmp_path / "serve.sock")
+        try:
+            checks = []
+            monkeypatch.setattr(daemon.monitor, "check", lambda: checks.append(1))
+            monkeypatch.setattr(time, "monotonic", lambda: 0.5)
+            daemon._tick()
+            assert checks == [1]
+        finally:
+            daemon.pool.close()
 
 
 class TestShutdown:
